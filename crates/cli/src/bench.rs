@@ -1,52 +1,49 @@
-//! `lgg-sim bench`: a fixed throughput suite timing the sparse active-set
-//! engine ([`EngineMode::SparseActive`]), the dense reference engine
-//! ([`EngineMode::DenseReference`]) and the density-adaptive
-//! [`EngineMode::Auto`], writing the numbers to `BENCH_throughput.json`.
+//! `lgg-sim bench`: observer and invariant-guard overhead on the sparse
+//! active-set engine ([`EngineMode::SparseActive`]), written to
+//! `BENCH_throughput.json`, plus the 2% disabled-observer regression
+//! gate (`--baseline`).
 //!
-//! The suite is deliberately small and fixed so successive runs (and
-//! successive PRs) produce comparable files:
+//! Every leg runs the same fixed case, `grid-16x16-steady`: a single
+//! source/sink pair on a 16×16 grid at a feasible rate, shortest-path
+//! forwarding. Its steady state keeps only the packets in flight busy, so
+//! the per-step cost is small and any per-event observer cost shows.
+//! Each leg is run once untimed as warm-up, then `REPS` times; the
+//! fastest repetition is reported (minimum-of-N is the usual noise filter
+//! for throughput benches).
 //!
-//! * `grid-16x16-steady` / `grid-64x64-steady` — single source/sink pair on
-//!   a grid, feasible rates, shortest-path forwarding: the steady state
-//!   keeps only the packets in flight busy, so almost the whole grid is
-//!   idle. This is the sparse engine's home turf. (The protocol matters:
-//!   LGG's steady state is a network-wide queue *gradient* — nearly every
-//!   node holds packets by construction — so a draining protocol is the
-//!   one that actually exhibits a sparse active set.)
-//! * `lgg-gradient-16x16` — the same grid under LGG, recording the dense
-//!   gradient regime honestly: here the active set is nearly all of `V`
-//!   and sparse bookkeeping is pure overhead.
-//! * `random-512-dense` — an oversubscribed random graph where backlogs
-//!   grow everywhere; the active set approaches all of `V` and the two
-//!   engines should converge (an honest worst case).
-//! * three files from `scenarios/` — saturated dumbbell, lossy sensor
-//!   field (matching-LGG + Gilbert–Elliott loss), bursty R-generalized
-//!   gauntlet (lying + lazy extraction) — covering the declaration and
-//!   loss machinery.
-//!
-//! Each case is run once untimed as warm-up, then `REPS` times per engine
-//! mode; the fastest repetition is reported (minimum-of-N is the usual
-//! noise filter for throughput benches).
+//! Engine throughput per layer and end to end is measured by the
+//! separate `perfbench` harness; the engine cases this command once ran
+//! survive only as the historical `cases` key of the checked-in
+//! `BENCH_throughput.json`, which the current schema ignores.
 
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 use simqueue::{
-    EngineMode, GuardConfig, HistoryMode, InvariantGuard, NoopObserver, RingRecorder, SimObserver,
+    EngineMode, GuardConfig, HistoryMode, InvariantGuard, RingRecorder, SimObserver, Simulation,
     WindowAggregator,
 };
 
 use crate::sweep::SweepReport;
-use crate::{Endpoint, ProtocolSpec, Scenario, LggError, SimOverrides, TopologySpec};
+use crate::{Endpoint, LggError, ProtocolSpec, Scenario, SimOverrides, TopologySpec};
 
-/// Timed repetitions per (case, engine) pair; the fastest is reported.
-/// Five repetitions (up from three) because the min-of-N filter has to
-/// beat scheduler noise on shared machines: the Auto engine's acceptance
-/// bar (within 5% of the better fixed engine) is tighter than the noise
-/// floor of a 3-rep minimum.
+/// Timed repetitions per leg; the fastest is reported. Five repetitions
+/// because the min-of-N filter has to beat scheduler noise on shared
+/// machines.
 const REPS: usize = 5;
 
-/// Throughput numbers for one engine on one case.
+/// The case every overhead leg runs on.
+const GATE_CASE: &str = "grid-16x16-steady";
+
+/// Steps per timed repetition of every leg. The regression gate compares
+/// these numbers against a recorded baseline, and a 2% bar is
+/// meaningless on short runs.
+const GATE_STEPS: u64 = 50_000;
+
+/// Engine of every leg.
+const GATE_ENGINE: EngineMode = EngineMode::SparseActive;
+
+/// Throughput numbers for one leg.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize, PartialEq)]
 pub struct EngineThroughput {
     /// Simulation steps per wall-clock second.
@@ -56,48 +53,21 @@ pub struct EngineThroughput {
     pub ns_per_node_edge_step: f64,
 }
 
-/// One benchmark case: all three engines on the same scenario.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-pub struct BenchCase {
-    /// Suite-stable case name.
-    pub name: String,
-    /// Node count of the topology.
-    pub nodes: usize,
-    /// Edge count of the topology.
-    pub edges: usize,
-    /// Steps simulated per timed repetition.
-    pub steps: u64,
-    /// Sparse active-set engine numbers.
-    pub sparse: EngineThroughput,
-    /// Dense reference engine numbers (the seed engine's cost profile).
-    pub dense: EngineThroughput,
-    /// Density-adaptive engine numbers (the CLI default).
-    pub auto: EngineThroughput,
-    /// `sparse.steps_per_sec / dense.steps_per_sec`.
-    pub speedup: f64,
-    /// `auto.steps_per_sec / max(sparse, dense).steps_per_sec` — the
-    /// adaptive engine's cost relative to the better fixed choice (the
-    /// acceptance bar is >= 0.95 on every case).
-    pub auto_vs_best: f64,
-}
-
-/// The whole suite, as serialized to `BENCH_throughput.json`.
+/// The whole report, as serialized to `BENCH_throughput.json`.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct BenchReport {
     /// Provenance marker for the file.
     pub generated_by: String,
-    /// One entry per suite case, in suite order.
-    pub cases: Vec<BenchCase>,
     /// Parallel sweep wall-clock numbers (`lgg-sim sweep`); absent until
     /// the first sweep run, preserved across `lgg-sim bench` rewrites.
     #[serde(default)]
     pub sweep: Option<SweepReport>,
     /// Observer-overhead numbers (disabled vs live observers); absent in
-    /// files written before the telemetry subsystem existed.
+    /// files written only by `lgg-sim sweep`.
     #[serde(default)]
     pub observer: Option<ObserverBench>,
-    /// Invariant-guard overhead numbers; absent in files written before
-    /// the guard existed.
+    /// Invariant-guard overhead numbers; absent in files written only by
+    /// `lgg-sim sweep`.
     #[serde(default)]
     pub guard: Option<GuardBench>,
 }
@@ -107,16 +77,14 @@ pub struct BenchReport {
 /// step count for both legs.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct GuardBench {
-    /// Suite case the overhead is measured on.
+    /// Case the overhead is measured on.
     pub case: String,
     /// Engine mode used for both legs (kebab-case).
     pub engine: String,
-    /// Steps per timed repetition (never scaled by `--quick`, same
-    /// reasoning as [`ObserverBench::steps`]).
+    /// Steps per timed repetition.
     pub steps: u64,
-    /// The unguarded production path (`Scenario::build`, telemetry off) —
-    /// the leg the 2% regression gate watches; the guard must cost
-    /// nothing when it is not installed.
+    /// The unguarded production path (`Scenario::build`, telemetry off);
+    /// the guard must cost nothing when it is not installed.
     pub off: EngineThroughput,
     /// All hard invariant checks live (conservation, link capacity,
     /// declaration legality) on a [`simqueue::NoopObserver`] inner.
@@ -129,13 +97,11 @@ pub struct GuardBench {
 /// two live observers, same engine and step count for all three legs.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ObserverBench {
-    /// Suite case the overhead is measured on.
+    /// Case the overhead is measured on.
     pub case: String,
     /// Engine mode used for every leg (kebab-case).
     pub engine: String,
-    /// Steps per timed repetition. Never scaled by `--quick`: the CI
-    /// regression gate compares these numbers against a recorded
-    /// baseline, and a 2% bar is meaningless on 1/10-length runs.
+    /// Steps per timed repetition.
     pub steps: u64,
     /// The production path of a default run: `Scenario::build` with the
     /// `telemetry` section off (dynamically dispatched disabled
@@ -153,8 +119,12 @@ pub struct ObserverBench {
     pub window_vs_off: f64,
 }
 
-/// Builds the synthetic suite scenarios (shared with `lgg-sim sweep`).
-pub(crate) fn synthetic_cases(quick: bool) -> Vec<(String, Scenario, u64)> {
+/// The two synthetic scenarios with opposite density profiles, by name:
+/// `grid-16x16-steady` (the gate case; almost the whole grid is idle)
+/// and `random-512-dense`, an oversubscribed random graph where backlogs
+/// grow everywhere and the active set approaches all of `V`. Shared with
+/// `lgg-sim sweep`.
+pub(crate) fn synthetic_cases() -> Vec<(String, Scenario)> {
     let base = Scenario::from_json(
         r#"{"topology": {"kind": "path", "n": 2},
             "sources": [{"node": 0, "rate": 1}],
@@ -171,21 +141,8 @@ pub(crate) fn synthetic_cases(quick: bool) -> Vec<(String, Scenario, u64)> {
         seed: 1,
         ..base.clone()
     };
-    let grid64 = Scenario {
-        topology: TopologySpec::Grid2d { rows: 64, cols: 64 },
-        sources: vec![Endpoint { node: 0, rate: 1 }],
-        sinks: vec![Endpoint { node: 4095, rate: 2 }],
-        protocol: ProtocolSpec::ShortestPath,
-        seed: 1,
-        ..base.clone()
-    };
-    let lgg16 = Scenario {
-        protocol: ProtocolSpec::Lgg,
-        ..grid16.clone()
-    };
     // Oversubscribed: 64 spread sources feed one sink whose extraction
-    // cannot keep up, so queues grow network-wide and the active set
-    // approaches all of V.
+    // cannot keep up, so queues grow network-wide.
     let random512 = Scenario {
         topology: TopologySpec::ConnectedRandom {
             n: 512,
@@ -198,65 +155,20 @@ pub(crate) fn synthetic_cases(quick: bool) -> Vec<(String, Scenario, u64)> {
         seed: 1,
         ..base
     };
-
-    let scale = if quick { 10 } else { 1 };
     vec![
-        ("grid-16x16-steady".into(), grid16, 50_000 / scale),
-        ("grid-64x64-steady".into(), grid64, 10_000 / scale),
-        ("lgg-gradient-16x16".into(), lgg16, 20_000 / scale),
-        ("random-512-dense".into(), random512, 2_000 / scale),
+        (GATE_CASE.into(), grid16),
+        ("random-512-dense".into(), random512),
     ]
 }
 
-/// The `scenarios/` files in the suite, with step counts capped so the
-/// dense engine finishes in seconds.
-const SCENARIO_FILES: &[(&str, &str, u64)] = &[
-    ("saturated-dumbbell", "saturated_dumbbell.json", 20_000),
-    ("lossy-sensor-field", "lossy_sensor_field.json", 20_000),
-    ("bursty-rgen-gauntlet", "bursty_rgen_gauntlet.json", 20_000),
-];
-
-/// Times `steps` of a freshly built simulation: one untimed warm-up run,
-/// then min-of-[`REPS`] nanoseconds. The build closure executes outside
-/// the timed region, so observer construction cost never leaks into the
-/// per-step numbers.
-fn time_runs<O, F>(build: F, steps: u64) -> Result<f64, LggError>
-where
-    O: SimObserver,
-    F: Fn() -> Result<simqueue::Simulation<O>, LggError>,
-{
-    // Warm-up: populate caches and fault pages outside the measurement.
-    let mut warm = build()?;
-    warm.run(steps.min(1_000));
-
-    let mut best_ns = f64::INFINITY;
-    for _ in 0..REPS {
-        let mut sim = build()?;
-        let t = Instant::now();
-        sim.run(steps);
-        let ns = t.elapsed().as_nanos() as f64;
-        // Consume a result so the run cannot be optimized away.
-        std::hint::black_box(sim.metrics().sup_total);
-        if ns < best_ns {
-            best_ns = ns;
-        }
-    }
-    Ok(best_ns)
-}
-
-/// Engine/history overrides shared by every timed leg of a case.
-/// `SimOverrides` owns a boxed observer slot, so it is rebuilt per call
-/// rather than cloned.
-fn bench_overrides(mode: EngineMode) -> SimOverrides {
+/// The overrides every timed leg runs with. `SimOverrides` owns a boxed
+/// observer slot, so it is rebuilt per call rather than cloned.
+fn bench_overrides() -> SimOverrides {
     SimOverrides {
-        engine: Some(mode),
+        engine: Some(GATE_ENGINE),
         history: Some(HistoryMode::None),
         ..SimOverrides::default()
     }
-}
-
-fn time_engine(sc: &Scenario, mode: EngineMode, steps: u64) -> Result<f64, LggError> {
-    time_runs(|| sc.build_with_observer(bench_overrides(mode), NoopObserver), steps)
 }
 
 fn round(x: f64, decimals: i32) -> f64 {
@@ -264,73 +176,69 @@ fn round(x: f64, decimals: i32) -> f64 {
     (x * f).round() / f
 }
 
-fn run_case(name: &str, sc: &Scenario, steps: u64) -> Result<BenchCase, LggError> {
-    let spec = sc.traffic_spec()?;
-    let nodes = spec.graph.node_count();
-    let edges = spec.graph.edge_count();
-    let size = (nodes + edges) as f64;
+/// Times [`GATE_STEPS`] of a freshly built simulation: one untimed
+/// warm-up run, then min-of-[`REPS`]. The build closure executes outside
+/// the timed region, so observer construction cost never leaks into the
+/// per-step numbers. `size` is the topology's node + edge count.
+fn time_leg<O, F>(size: f64, build: F) -> Result<EngineThroughput, LggError>
+where
+    O: SimObserver,
+    F: Fn() -> Result<Simulation<O>, LggError>,
+{
+    // Warm-up: populate caches and fault pages outside the measurement.
+    let mut warm = build()?;
+    warm.run(GATE_STEPS.min(1_000));
 
-    let per_mode = |mode| -> Result<EngineThroughput, LggError> {
-        let ns = time_engine(sc, mode, steps)?;
-        Ok(EngineThroughput {
-            steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-            ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-        })
-    };
-    let sparse = per_mode(EngineMode::SparseActive)?;
-    let dense = per_mode(EngineMode::DenseReference)?;
-    let auto = per_mode(EngineMode::Auto)?;
-
-    let best = sparse.steps_per_sec.max(dense.steps_per_sec);
-    Ok(BenchCase {
-        name: name.to_string(),
-        nodes,
-        edges,
-        steps,
-        sparse,
-        dense,
-        auto,
-        speedup: round(sparse.steps_per_sec / dense.steps_per_sec, 2),
-        auto_vs_best: round(auto.steps_per_sec / best, 2),
+    let mut best_ns = f64::INFINITY;
+    for _ in 0..REPS {
+        let mut sim = build()?;
+        let t = Instant::now();
+        sim.run(GATE_STEPS);
+        let ns = t.elapsed().as_nanos() as f64;
+        // Consume a result so the run cannot be optimized away.
+        std::hint::black_box(sim.metrics().sup_total);
+        best_ns = best_ns.min(ns);
+    }
+    Ok(EngineThroughput {
+        steps_per_sec: round(GATE_STEPS as f64 / (best_ns / 1e9), 1),
+        ns_per_node_edge_step: round(best_ns / (GATE_STEPS as f64 * size), 3),
     })
 }
 
-/// Measures observer overhead on the sparse `grid-16x16-steady` case.
-/// The disabled leg goes through the production [`Scenario::build`] path
-/// (a `Simulation<ScenarioObserver>` with `telemetry: off`), so the
-/// number reflects what every default `lgg-sim` run actually pays for
-/// having the telemetry subsystem compiled in — not an assumption about
-/// dead-code elimination.
-pub fn observer_bench() -> Result<ObserverBench, LggError> {
-    let (name, sc, steps) = synthetic_cases(false)
+/// The gate case's scenario and its node + edge count.
+fn gate_case() -> Result<(Scenario, f64), LggError> {
+    let (_, sc) = synthetic_cases()
         .into_iter()
         .next()
-        .expect("fixed suite is non-empty");
-    debug_assert_eq!(name, "grid-16x16-steady");
-
+        .expect("the gate case comes first");
     let spec = sc.traffic_spec()?;
     let size = (spec.graph.node_count() + spec.graph.edge_count()) as f64;
-    let throughput = |ns: f64| EngineThroughput {
-        steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-        ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-    };
-    let mode = EngineMode::SparseActive;
+    Ok((sc, size))
+}
 
-    eprintln!("bench: observer overhead on {name} ({steps} steps x{REPS} reps x3 observers)...");
-    let off = throughput(time_runs(|| sc.build(bench_overrides(mode)), steps)?);
-    let ring = throughput(time_runs(
-        || sc.build_with_observer(bench_overrides(mode), RingRecorder::new(4096)),
-        steps,
-    )?);
-    let window = throughput(time_runs(
-        || sc.build_with_observer(bench_overrides(mode), WindowAggregator::new(256)),
-        steps,
-    )?);
+/// Measures observer overhead on the gate case. The disabled leg goes
+/// through the production [`Scenario::build`] path (a
+/// `Simulation<ScenarioObserver>` with `telemetry: off`), so the number
+/// reflects what every default `lgg-sim` run actually pays for having
+/// the telemetry subsystem compiled in — not an assumption about
+/// dead-code elimination.
+pub fn observer_bench() -> Result<ObserverBench, LggError> {
+    let (sc, size) = gate_case()?;
+    eprintln!(
+        "bench: observer overhead on {GATE_CASE} ({GATE_STEPS} steps x{REPS} reps x3 observers)..."
+    );
+    let off = time_leg(size, || sc.build(bench_overrides()))?;
+    let ring = time_leg(size, || {
+        sc.build_with_observer(bench_overrides(), RingRecorder::new(4096))
+    })?;
+    let window = time_leg(size, || {
+        sc.build_with_observer(bench_overrides(), WindowAggregator::new(256))
+    })?;
 
     Ok(ObserverBench {
-        case: name,
+        case: GATE_CASE.into(),
         engine: "sparse-active".into(),
-        steps,
+        steps: GATE_STEPS,
         off,
         ring,
         window,
@@ -339,41 +247,25 @@ pub fn observer_bench() -> Result<ObserverBench, LggError> {
     })
 }
 
-/// Measures invariant-guard overhead on the sparse `grid-16x16-steady`
-/// case: the unguarded production build path against the same scenario
-/// with every hard check live. The guard sees every per-step event (it
-/// wraps the observer boundary before any thinning), so this is its
-/// worst-case honest price; the off leg doubles as the number the 2%
-/// regression gate compares against its recorded baseline.
+/// Measures invariant-guard overhead on the gate case: the unguarded
+/// production build path against the same scenario with every hard check
+/// live. The guard sees every per-step event (it wraps the observer
+/// boundary before any thinning), so this is its worst-case honest price.
 pub fn guard_bench() -> Result<GuardBench, LggError> {
-    let (name, sc, steps) = synthetic_cases(false)
-        .into_iter()
-        .next()
-        .expect("fixed suite is non-empty");
-    debug_assert_eq!(name, "grid-16x16-steady");
-
-    let spec = sc.traffic_spec()?;
-    let size = (spec.graph.node_count() + spec.graph.edge_count()) as f64;
-    let throughput = |ns: f64| EngineThroughput {
-        steps_per_sec: round(steps as f64 / (ns / 1e9), 1),
-        ns_per_node_edge_step: round(ns / (steps as f64 * size), 3),
-    };
-    let mode = EngineMode::SparseActive;
-
-    eprintln!("bench: guard overhead on {name} ({steps} steps x{REPS} reps x2 legs)...");
-    let off = throughput(time_runs(|| sc.build(bench_overrides(mode)), steps)?);
-    let guarded = throughput(time_runs(
-        || {
-            let guard = InvariantGuard::new(&sc.traffic_spec()?, GuardConfig::checks());
-            sc.build_with_observer(bench_overrides(mode), guard)
-        },
-        steps,
-    )?);
+    let (sc, size) = gate_case()?;
+    eprintln!(
+        "bench: guard overhead on {GATE_CASE} ({GATE_STEPS} steps x{REPS} reps x2 legs)..."
+    );
+    let off = time_leg(size, || sc.build(bench_overrides()))?;
+    let guarded = time_leg(size, || {
+        let guard = InvariantGuard::new(&sc.traffic_spec()?, GuardConfig::checks());
+        sc.build_with_observer(bench_overrides(), guard)
+    })?;
 
     Ok(GuardBench {
-        case: name,
+        case: GATE_CASE.into(),
         engine: "sparse-active".into(),
-        steps,
+        steps: GATE_STEPS,
         off,
         guarded,
         guarded_vs_off: round(guarded.steps_per_sec / off.steps_per_sec, 3),
@@ -381,10 +273,7 @@ pub fn guard_bench() -> Result<GuardBench, LggError> {
 }
 
 /// CI gate: errors when the disabled-observer throughput in `report`
-/// falls more than 2% below the recorded baseline. The reference is the
-/// baseline file's own `observer.off` leg when present, else its
-/// recorded sparse throughput for the same case — i.e. the pre-telemetry
-/// number the subsystem's overhead budget was set against.
+/// falls more than 2% below the baseline file's own `observer.off` leg.
 pub fn check_observer_baseline(
     report: &BenchReport,
     baseline: &BenchReport,
@@ -397,19 +286,7 @@ pub fn check_observer_baseline(
         .observer
         .as_ref()
         .map(|o| o.off.steps_per_sec)
-        .or_else(|| {
-            baseline
-                .cases
-                .iter()
-                .find(|c| c.name == current.case)
-                .map(|c| c.sparse.steps_per_sec)
-        })
-        .ok_or_else(|| {
-            LggError::scenario(format!(
-                "baseline has neither an observer section nor a '{}' case",
-                current.case
-            ))
-        })?;
+        .ok_or_else(|| LggError::scenario("baseline has no observer bench section"))?;
     if current.off.steps_per_sec < 0.98 * reference {
         return Err(LggError::scenario(format!(
             "disabled-observer throughput regressed: {} steps/s is more than 2% below \
@@ -424,34 +301,13 @@ pub fn check_observer_baseline(
     Ok(())
 }
 
-/// Runs the fixed suite. `scenario_dir` is where the `scenarios/` files
-/// live (normally `scenarios` relative to the repo root); `quick` divides
-/// the step counts by 10 for smoke runs (except the observer-overhead
-/// section, which always runs full length).
-pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<BenchReport, LggError> {
-    let mut cases = Vec::new();
-    for (name, sc, steps) in synthetic_cases(quick) {
-        eprintln!("bench: {name} ({steps} steps x{REPS} reps x3 engines)...");
-        cases.push(run_case(&name, &sc, steps)?);
-    }
-    for &(name, file, steps) in SCENARIO_FILES {
-        let path = format!("{scenario_dir}/{file}");
-        let text = std::fs::read_to_string(&path).map_err(|e| {
-            LggError::scenario(format!(
-                "cannot read {path}: {e} (run `lgg-sim bench` from the repo root \
-                 or pass --scenarios DIR)"
-            ))
-        })?;
-        let sc = Scenario::from_json(&text)?;
-        let steps = if quick { steps / 10 } else { steps };
-        eprintln!("bench: {name} ({steps} steps x{REPS} reps x3 engines)...");
-        cases.push(run_case(name, &sc, steps)?);
-    }
+/// Runs the observer and guard overhead legs.
+pub fn run_bench_suite() -> Result<BenchReport, LggError> {
     let observer = Some(observer_bench()?);
     let guard = Some(guard_bench()?);
     Ok(BenchReport {
-        generated_by: "lgg-sim bench (fixed suite; schema documented in DESIGN.md)".into(),
-        cases,
+        generated_by: "lgg-sim bench (observer and guard overhead; schema documented in DESIGN.md)"
+            .into(),
         sweep: None,
         observer,
         guard,
@@ -461,53 +317,25 @@ pub fn run_bench_suite(scenario_dir: &str, quick: bool) -> Result<BenchReport, L
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simqueue::NoopObserver;
 
     #[test]
     fn synthetic_cases_build_and_step() {
-        for (name, sc, _) in synthetic_cases(true) {
+        for (name, sc) in synthetic_cases() {
             let mut sim = sc
-                .build_with_observer(bench_overrides(EngineMode::SparseActive), NoopObserver)
+                .build_with_observer(bench_overrides(), NoopObserver)
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             sim.run(10);
         }
     }
 
     #[test]
-    fn quick_suite_produces_all_cases_and_round_trips() {
-        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
-        let report = run_bench_suite(dir, true).unwrap();
-        assert_eq!(report.cases.len(), 7);
-        for c in &report.cases {
-            assert!(c.sparse.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.dense.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.auto.steps_per_sec > 0.0, "{}", c.name);
-            assert!(c.speedup > 0.0, "{}", c.name);
-            // The derived ratios must be consistent with the raw
-            // steps/sec they were computed from (up to their 2-decimal
-            // rounding).
-            let speedup = c.sparse.steps_per_sec / c.dense.steps_per_sec;
-            assert!(
-                (c.speedup - speedup).abs() <= 0.005 + 1e-9,
-                "{}: speedup {} inconsistent with raw {}",
-                c.name,
-                c.speedup,
-                speedup
-            );
-            let best = c.sparse.steps_per_sec.max(c.dense.steps_per_sec);
-            let auto_vs_best = c.auto.steps_per_sec / best;
-            assert!(
-                (c.auto_vs_best - auto_vs_best).abs() <= 0.005 + 1e-9,
-                "{}: auto_vs_best {} inconsistent with raw {}",
-                c.name,
-                c.auto_vs_best,
-                auto_vs_best
-            );
-        }
+    fn suite_produces_gate_legs_and_round_trips() {
+        let report = run_bench_suite().unwrap();
 
-        // Observer overhead is part of every suite run, at full length
-        // even under --quick.
         let obs = report.observer.as_ref().expect("observer section");
         assert_eq!(obs.case, "grid-16x16-steady");
+        assert_eq!(obs.engine, "sparse-active");
         assert_eq!(obs.steps, 50_000);
         assert!(obs.off.steps_per_sec > 0.0);
         assert!(obs.ring.steps_per_sec > 0.0);
@@ -515,9 +343,9 @@ mod tests {
         let ring_vs_off = obs.ring.steps_per_sec / obs.off.steps_per_sec;
         assert!((obs.ring_vs_off - ring_vs_off).abs() <= 0.0005 + 1e-9);
 
-        // So is the guard-overhead leg.
         let g = report.guard.as_ref().expect("guard section");
         assert_eq!(g.case, "grid-16x16-steady");
+        assert_eq!(g.engine, "sparse-active");
         assert_eq!(g.steps, 50_000);
         assert!(g.off.steps_per_sec > 0.0);
         assert!(g.guarded.steps_per_sec > 0.0);
@@ -533,39 +361,33 @@ mod tests {
         assert!(back.sweep.is_none());
     }
 
-    fn fake_report(off_sps: f64, with_observer: bool, sparse_case: Option<f64>) -> BenchReport {
+    #[test]
+    fn checked_in_baseline_parses_despite_historical_cases() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_throughput.json");
+        let text = std::fs::read_to_string(path).unwrap();
+        let baseline: BenchReport = serde_json::from_str(&text).unwrap();
+        let obs = baseline.observer.expect("observer section");
+        assert_eq!(obs.case, "grid-16x16-steady");
+        assert_eq!(obs.steps, 50_000);
+    }
+
+    fn fake_report(off_sps: Option<f64>) -> BenchReport {
         let tp = |sps: f64| EngineThroughput {
             steps_per_sec: sps,
             ns_per_node_edge_step: 1.0,
         };
-        let observer = with_observer.then(|| ObserverBench {
+        let observer = off_sps.map(|sps| ObserverBench {
             case: "grid-16x16-steady".into(),
             engine: "sparse-active".into(),
             steps: 50_000,
-            off: tp(off_sps),
-            ring: tp(off_sps * 0.8),
-            window: tp(off_sps * 0.9),
+            off: tp(sps),
+            ring: tp(sps * 0.8),
+            window: tp(sps * 0.9),
             ring_vs_off: 0.8,
             window_vs_off: 0.9,
         });
-        let cases = sparse_case
-            .map(|sps| {
-                vec![BenchCase {
-                    name: "grid-16x16-steady".into(),
-                    nodes: 256,
-                    edges: 480,
-                    steps: 50_000,
-                    sparse: tp(sps),
-                    dense: tp(sps / 2.0),
-                    auto: tp(sps),
-                    speedup: 2.0,
-                    auto_vs_best: 1.0,
-                }]
-            })
-            .unwrap_or_default();
         BenchReport {
             generated_by: "test".into(),
-            cases,
             sweep: None,
             observer,
             guard: None,
@@ -574,23 +396,18 @@ mod tests {
 
     #[test]
     fn observer_baseline_gate_accepts_and_rejects() {
-        // Within 2% of the baseline's own off leg: ok (even slightly slower).
-        let baseline = fake_report(1000.0, true, Some(1100.0));
-        check_observer_baseline(&fake_report(985.0, true, None), &baseline).unwrap();
+        // Within 2% of the baseline's off leg: ok (even slightly slower).
+        let baseline = fake_report(Some(1000.0));
+        check_observer_baseline(&fake_report(Some(985.0)), &baseline).unwrap();
         // More than 2% below: rejected.
-        let err = check_observer_baseline(&fake_report(975.0, true, None), &baseline)
+        let err = check_observer_baseline(&fake_report(Some(975.0)), &baseline)
             .unwrap_err()
             .to_string();
         assert!(err.contains("regressed"), "{err}");
-        // A pre-telemetry baseline (no observer section) falls back to the
-        // recorded sparse throughput of the same case.
-        let old = fake_report(0.0, false, Some(1000.0));
-        check_observer_baseline(&fake_report(985.0, true, None), &old).unwrap();
-        assert!(check_observer_baseline(&fake_report(900.0, true, None), &old).is_err());
-        // A baseline with neither is an error, as is a report without the
-        // observer section.
-        let empty = fake_report(0.0, false, None);
-        assert!(check_observer_baseline(&fake_report(985.0, true, None), &empty).is_err());
+        // A baseline without an observer section is an error, as is a
+        // report without one.
+        let empty = fake_report(None);
+        assert!(check_observer_baseline(&fake_report(Some(985.0)), &empty).is_err());
         assert!(check_observer_baseline(&empty, &baseline).is_err());
     }
 }

@@ -27,6 +27,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+use simqueue::checkpoint::fnv1a;
 use simqueue::{
     BudgetKind, FaultSpec, GuardConfig, GuardOutcome, GuardReport, HistoryMode, InvariantGuard,
     LggError, NoopObserver, SimOverrides, Violation,
@@ -132,42 +133,32 @@ enum TrialOutcome {
     Violated(Box<(Scenario, Violation)>),
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-fn fnv1a_u64(hash: u64, x: u64) -> u64 {
-    fnv1a(hash, &x.to_le_bytes())
-}
-
+/// FNV-1a over every outcome in input order: a tag word, then the
+/// outcome's fields as little-endian words or raw string bytes.
 fn digest_outcomes(outcomes: &[TrialOutcome]) -> String {
-    let h = outcomes.iter().fold(FNV_OFFSET, |h, o| match o {
-        TrialOutcome::Clean { steps, sup_total } => {
-            fnv1a_u64(fnv1a_u64(fnv1a_u64(h, 0), *steps), *sup_total)
+    fn put(bytes: &mut Vec<u8>, words: &[u64], text: &str) {
+        bytes.extend(words.iter().flat_map(|w| w.to_le_bytes()));
+        bytes.extend_from_slice(text.as_bytes());
+    }
+    let mut bytes = Vec::new();
+    for o in outcomes {
+        match o {
+            TrialOutcome::Clean { steps, sup_total } => {
+                put(&mut bytes, &[0, *steps, *sup_total], "")
+            }
+            TrialOutcome::Budget { kind, steps } => {
+                let k = match kind {
+                    BudgetKind::Steps => 1,
+                    BudgetKind::Backlog => 2,
+                    BudgetKind::WallClock => 3,
+                };
+                put(&mut bytes, &[1, k, *steps], "");
+            }
+            TrialOutcome::BuildError(msg) => put(&mut bytes, &[2], msg),
+            TrialOutcome::Violated(b) => put(&mut bytes, &[3, b.1.step], b.1.kind.as_str()),
         }
-        TrialOutcome::Budget { kind, steps } => {
-            let k = match kind {
-                BudgetKind::Steps => 1,
-                BudgetKind::Backlog => 2,
-                BudgetKind::WallClock => 3,
-            };
-            fnv1a_u64(fnv1a_u64(fnv1a_u64(h, 1), k), *steps)
-        }
-        TrialOutcome::BuildError(msg) => fnv1a(fnv1a_u64(h, 2), msg.as_bytes()),
-        TrialOutcome::Violated(b) => {
-            let v = &b.1;
-            fnv1a(
-                fnv1a_u64(fnv1a_u64(h, 3), v.step),
-                v.kind.as_str().as_bytes(),
-            )
-        }
-    });
-    format!("{h:016x}")
+    }
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 /// The guard configuration chaos trials run under: the hard invariants
@@ -825,6 +816,8 @@ mod tests {
         assert_eq!(a.clean + a.budget + a.build_errors, 12);
         let b = run_chaos(&cfg).unwrap();
         assert_eq!(a.digest, b.digest);
+        // The digest `lgg-sim chaos --smoke` prints, pinned.
+        assert_eq!(a.digest, "e1c95e5e4437d1d2");
     }
 
     #[test]

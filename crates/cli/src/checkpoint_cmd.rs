@@ -141,6 +141,7 @@ pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
         .map_err(|e| LggError::io(format!("cannot read {}", cfg.scenario_path), e))?;
     let sc = Scenario::from_json(&text)?;
     let target = cfg.steps.unwrap_or(sc.steps);
+    sc.check_horizon(target)?;
     // With a dir but no period, only the final-step snapshot is written
     // (useful to seed a later --resume without paying periodic I/O).
     let every = cfg.checkpoint_every.unwrap_or(target.max(1));

@@ -38,7 +38,7 @@ mod sweep;
 mod trace_cmd;
 
 pub use bench::{
-    check_observer_baseline, guard_bench, observer_bench, run_bench_suite, BenchCase, BenchReport,
+    check_observer_baseline, guard_bench, observer_bench, run_bench_suite, BenchReport,
     EngineThroughput, GuardBench, ObserverBench,
 };
 pub use chaos::{

@@ -360,30 +360,21 @@ fn run_chaos_cmd(args: &[String]) -> ExitCode {
     }
 }
 
-/// `lgg-sim bench [--quick] [--out FILE] [--scenarios DIR] [--baseline FILE]`:
-/// run the fixed throughput suite and write `BENCH_throughput.json`.
-/// With `--baseline`, additionally fail if the disabled-observer leg
-/// regressed more than 2% below the numbers recorded in FILE.
+/// `lgg-sim bench [--out FILE] [--baseline FILE]`: time the observer and
+/// invariant-guard overhead legs and write them to
+/// `BENCH_throughput.json`. With `--baseline`, additionally fail if the
+/// disabled-observer leg regressed more than 2% below the numbers
+/// recorded in FILE.
 fn run_bench(args: &[String]) -> ExitCode {
-    let mut quick = false;
     let mut out = String::from("BENCH_throughput.json");
-    let mut scenario_dir = String::from("scenarios");
     let mut baseline: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => quick = true,
             "--out" => match it.next() {
                 Some(v) => out = v.clone(),
                 None => {
                     eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--scenarios" => match it.next() {
-                Some(v) => scenario_dir = v.clone(),
-                None => {
-                    eprintln!("--scenarios needs a directory");
                     return ExitCode::FAILURE;
                 }
             },
@@ -400,7 +391,7 @@ fn run_bench(args: &[String]) -> ExitCode {
             }
         }
     }
-    // Read the baseline before the suite overwrites the default --out
+    // Read the baseline before the run overwrites the default --out
     // (they are usually the same file).
     let baseline = match baseline {
         None => None,
@@ -420,7 +411,7 @@ fn run_bench(args: &[String]) -> ExitCode {
             }
         }
     };
-    match run_bench_suite(&scenario_dir, quick) {
+    match run_bench_suite() {
         Ok(mut report) => {
             // Keep a previously recorded sweep section: the two commands
             // own disjoint parts of the same file.
@@ -433,18 +424,6 @@ fn run_bench(args: &[String]) -> ExitCode {
             if let Err(e) = fs::write(&out, format!("{json}\n")) {
                 eprintln!("cannot write {out}: {e}");
                 return ExitCode::FAILURE;
-            }
-            for c in &report.cases {
-                println!(
-                    "{:<22} {:>7} nodes+edges  sparse {:>12.1} steps/s  dense {:>12.1} steps/s  x{:.2}  auto {:>12.1} steps/s ({:.2} of best)",
-                    c.name,
-                    c.nodes + c.edges,
-                    c.sparse.steps_per_sec,
-                    c.dense.steps_per_sec,
-                    c.speedup,
-                    c.auto.steps_per_sec,
-                    c.auto_vs_best
-                );
             }
             if let Some(obs) = &report.observer {
                 println!(
@@ -647,9 +626,9 @@ fn print_help() {
         "lgg-sim — run an LGG-routing scenario from a JSON file\n\n\
          USAGE: lgg-sim SCENARIO.json [--json]\n\
          \u{20}      lgg-sim --template   # print a starter scenario\n\
-         \u{20}      lgg-sim bench [--quick] [--out FILE] [--scenarios DIR] [--baseline FILE]\n\
-         \u{20}                           # throughput suite -> BENCH_throughput.json;\n\
-         \u{20}                           # --baseline gates observer overhead at 2%\n\
+         \u{20}      lgg-sim bench [--out FILE] [--baseline FILE]\n\
+         \u{20}                           # observer/guard overhead -> BENCH_throughput.json;\n\
+         \u{20}                           # --baseline gates the disabled observer at 2%\n\
          \u{20}      lgg-sim sweep [--smoke] [--out FILE] [--scenarios DIR] [--threads N]\n\
          \u{20}                           # parallel parameter grid, serial-vs-parallel\n\
          \u{20}                           # wall clock -> sweep section of the bench file\n\

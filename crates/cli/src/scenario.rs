@@ -594,9 +594,31 @@ fn default_dynamics() -> DynamicsSpec {
 }
 
 impl Scenario {
-    /// Parses a scenario from JSON.
+    /// Parses a scenario from JSON and checks its horizon with
+    /// [`Scenario::check_horizon`].
     pub fn from_json(json: &str) -> Result<Self, LggError> {
-        Ok(serde_json::from_str(json)?)
+        let sc: Scenario = serde_json::from_str(json)?;
+        sc.check_horizon(sc.steps)?;
+        Ok(sc)
+    }
+
+    /// Rejects a horizon of `steps` over which the nominal arrivals,
+    /// Σ (source rate + generalized `in`) × `steps`, exceed `u64::MAX`:
+    /// the packet counters would wrap silently.
+    pub fn check_horizon(&self, steps: u64) -> Result<(), LggError> {
+        let rate: u128 = self
+            .sources
+            .iter()
+            .map(|s| s.rate as u128)
+            .chain(self.generalized.iter().map(|g| g.r#in as u128))
+            .sum();
+        match rate.checked_mul(steps as u128) {
+            Some(total) if total <= u64::MAX as u128 => Ok(()),
+            _ => Err(LggError::scenario(format!(
+                "rate × horizon overflow: {rate} packets/step over {steps} steps \
+                 exceeds u64::MAX packets"
+            ))),
+        }
     }
 
     /// Materializes the traffic specification.
@@ -824,6 +846,36 @@ mod tests {
         let sc = Scenario::from_json(bad).unwrap();
         let err = sc.traffic_spec().unwrap_err();
         assert!(err.to_string().contains("99"));
+    }
+
+    #[test]
+    fn rate_times_horizon_overflow_is_rejected() {
+        // Source rate 2^62 over 20 steps: 2^62 · 20 > u64::MAX.
+        let json = r#"{
+            "topology": {"kind": "dumbbell", "clique": 4, "bridge": 2},
+            "sources": [{"node": 0, "rate": 4611686018427387904}],
+            "sinks": [{"node": 9, "rate": 4}],
+            "protocol": "lgg",
+            "steps": 20,
+            "track_ages": false
+        }"#;
+        let err = Scenario::from_json(json).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("rate × horizon overflow"), "{err}");
+        // Four steps fit (2^64 - 2^62 > 3 · 2^62), and a generalized `in`
+        // counts towards the total like a source rate.
+        let sc = Scenario::from_json(&json.replace("\"steps\": 20", "\"steps\": 3")).unwrap();
+        sc.check_horizon(3).unwrap();
+        assert!(sc.check_horizon(4).is_err());
+        let sc = Scenario {
+            generalized: vec![GeneralizedNode {
+                node: 4,
+                r#in: 1 << 62,
+                out: 0,
+            }],
+            ..sc
+        };
+        assert!(sc.check_horizon(2).is_err());
     }
 
     #[test]

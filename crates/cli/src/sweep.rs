@@ -13,8 +13,7 @@
 //! the cross-thread-count determinism test and CI.
 //!
 //! Timings land in the `sweep` section of `BENCH_throughput.json`,
-//! alongside (and preserving) the single-engine `cases` from
-//! `lgg-sim bench`.
+//! alongside (and preserving) the overhead sections from `lgg-sim bench`.
 
 use std::time::Instant;
 
@@ -23,6 +22,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bench::{synthetic_cases, BenchReport};
 use crate::{EngineSpec, InjectionSpec, Scenario, LggError, SimOverrides};
+use simqueue::checkpoint::fnv1a;
 use simqueue::{HistoryMode, NoopObserver};
 
 /// One grid point: a scenario under a specific seed, rate and engine.
@@ -101,32 +101,13 @@ impl Default for SweepConfig {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
-}
-
-fn fnv1a_u64(hash: u64, x: u64) -> u64 {
-    fnv1a(hash, &x.to_le_bytes())
-}
-
 /// Builds the parameter grid: scenario × seed × rate × engine.
 fn build_grid(cfg: &SweepConfig) -> Result<Vec<(SweepItem, Scenario)>, LggError> {
     // Two synthetic suite scenarios with opposite density profiles (the
     // steady grid is sparse-friendly, the oversubscribed random graph is
     // dense), plus one file-backed scenario exercising the declaration
     // and loss machinery.
-    let synth = synthetic_cases(true);
-    let pick = |wanted: &str| {
-        synth
-            .iter()
-            .find(|(name, _, _)| name == wanted)
-            .map(|(name, sc, _)| (name.clone(), sc.clone()))
-            .expect("fixed suite name")
-    };
-    let mut scenarios = vec![pick("grid-16x16-steady"), pick("random-512-dense")];
+    let mut scenarios = synthetic_cases();
     let dumbbell_path = format!("{}/saturated_dumbbell.json", cfg.scenario_dir);
     let text = std::fs::read_to_string(&dumbbell_path).map_err(|e| {
         LggError::scenario(format!(
@@ -191,10 +172,8 @@ fn run_item(item: &SweepItem, sc: &Scenario) -> Result<SweepOutcome, LggError> {
     )?;
     sim.run(item.steps);
     let m = sim.metrics();
-    let queue_fnv = sim
-        .queues()
-        .iter()
-        .fold(FNV_OFFSET, |h, &q| fnv1a_u64(h, q));
+    let queue_bytes: Vec<u8> = sim.queues().iter().flat_map(|q| q.to_le_bytes()).collect();
+    let queue_fnv = fnv1a(&queue_bytes);
     Ok(SweepOutcome {
         delivered: m.delivered,
         sent: m.sent,
@@ -216,14 +195,12 @@ fn run_grid(grid: &[(SweepItem, Scenario)]) -> Result<Vec<SweepOutcome>, LggErro
 
 /// Condenses an outcome vector into a printable FNV-1a digest.
 pub fn digest_outcomes(outcomes: &[SweepOutcome]) -> String {
-    let h = outcomes.iter().fold(FNV_OFFSET, |h, o| {
-        let h = fnv1a_u64(h, o.delivered);
-        let h = fnv1a_u64(h, o.sent);
-        let h = fnv1a_u64(h, o.lost);
-        let h = fnv1a_u64(h, o.sup_total);
-        fnv1a_u64(h, o.queue_fnv)
-    });
-    format!("{h:016x}")
+    let bytes: Vec<u8> = outcomes
+        .iter()
+        .flat_map(|o| [o.delivered, o.sent, o.lost, o.sup_total, o.queue_fnv])
+        .flat_map(u64::to_le_bytes)
+        .collect();
+    format!("{:016x}", fnv1a(&bytes))
 }
 
 /// Runs the sweep grid once under the *current* pool configuration and
@@ -295,15 +272,14 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, LggError> {
 }
 
 /// Installs `report` as the `sweep` section of the bench file at `path`,
-/// preserving any existing `cases`; creates a cases-less file when none
-/// exists yet.
+/// preserving its `observer` and `guard` sections; creates a file
+/// without them when none exists yet.
 pub fn write_sweep_into_bench(path: &str, report: SweepReport) -> Result<(), LggError> {
     // An absent or empty file (e.g. `--out "$(mktemp)"`) starts fresh; a
     // non-empty file that fails to parse is an error, so a corrupted bench
     // baseline is never silently clobbered.
     let fresh = || BenchReport {
-        generated_by: "lgg-sim sweep (no bench cases yet; run `lgg-sim bench`)".into(),
-        cases: Vec::new(),
+        generated_by: "lgg-sim sweep (no overhead legs yet; run `lgg-sim bench`)".into(),
         sweep: None,
         observer: None,
         guard: None,
@@ -360,7 +336,8 @@ mod tests {
         assert!(report.serial_secs > 0.0);
         assert!(report.parallel_secs > 0.0);
         assert!(report.threads >= 1);
-        assert_eq!(report.digest.len(), 16);
+        // The digest `lgg-sim sweep --smoke` prints, pinned.
+        assert_eq!(report.digest, "772da3ec771db265");
         // Digest is reproducible across whole-grid reruns.
         assert_eq!(report.digest, sweep_digest(&smoke_cfg()).unwrap());
     }
@@ -392,8 +369,8 @@ mod tests {
         let back: BenchReport =
             serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(back.sweep, Some(report.clone()));
-        assert!(back.cases.is_empty());
-        // A second write preserves the file's cases and replaces sweep.
+        assert!(back.observer.is_none());
+        // A second write replaces the sweep section.
         write_sweep_into_bench(path, report.clone()).unwrap();
         let back2: BenchReport =
             serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();

@@ -11,28 +11,24 @@ use simqueue::JsonlSink;
 
 use crate::{Scenario, LggError, SimOverrides};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
 /// FNV-1a digest of a byte stream, printed as 16 hex digits — the same
 /// witness format `lgg-sim sweep` uses for outcome digests.
 pub fn fnv1a_digest(bytes: &[u8]) -> String {
-    let h = bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME));
-    format!("{h:016x}")
+    format!("{:016x}", simqueue::checkpoint::fnv1a(bytes))
 }
 
 /// Runs `steps` of `sc` with a [`JsonlSink`] attached and returns the
 /// raw JSONL bytes. `sample_stride` thins the per-step `sample` lines
 /// (1 keeps all); other event kinds are never thinned. The scenario's
 /// own `telemetry` section is not consulted — the sink *is* the
-/// observer for this run.
+/// observer for this run. Fails when `steps` overflows the scenario's
+/// arrivals ([`Scenario::check_horizon`]).
 pub fn capture_trace(
     sc: &Scenario,
     steps: u64,
     sample_stride: u64,
 ) -> Result<Vec<u8>, LggError> {
+    sc.check_horizon(steps)?;
     let sink = JsonlSink::new(Vec::new()).with_sample_stride(sample_stride);
     let mut sim = sc.build_with_observer(
         SimOverrides {
@@ -107,7 +103,8 @@ mod tests {
         ] {
             assert!(kinds.contains(kind), "missing {kind} in {kinds:?}");
         }
-        assert_eq!(fnv1a_digest(&bytes).len(), 16);
+        // The digest `lgg-sim trace --smoke` prints, pinned.
+        assert_eq!(fnv1a_digest(&bytes), "7dd8b5b588127ab6");
     }
 
     #[test]

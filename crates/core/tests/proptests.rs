@@ -46,10 +46,6 @@ fn plan(
     out
 }
 
-fn queue_strategy(n: usize) -> impl Strategy<Value = Vec<u64>> {
-    prop::collection::vec(0u64..20, n)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -68,12 +68,13 @@ pub enum EngineMode {
 pub const AUTO_CHECK_INTERVAL: u64 = 64;
 
 /// [`EngineMode::Auto`] switches to dense stepping when at least this
-/// fraction of nodes hold packets. Calibrated against the
-/// `BENCH_throughput.json` suite: the dense engine's full-scan advantage
-/// (no active-set maintenance) only materializes once roughly half of `V`
-/// is active — `lgg-gradient-16x16` and `random-512-dense` sit near
-/// density 1 and run 1.1–1.3× faster dense, while the steady grids sit
-/// below density 0.05 and run 2–7× faster sparse.
+/// fraction of nodes hold packets. Calibrated against the engine cases
+/// `lgg-sim bench` once ran, whose numbers survive only as the historical
+/// `cases` in `BENCH_throughput.json`: the dense engine's full-scan
+/// advantage (no active-set maintenance) only materializes once roughly
+/// half of `V` is active — `lgg-gradient-16x16` and `random-512-dense`
+/// sat near density 1 and ran 1.1–1.3× faster dense, while the steady
+/// grids sat below density 0.05 and ran 2–7× faster sparse.
 pub const AUTO_DENSE_ABOVE: f64 = 0.5;
 
 /// [`EngineMode::Auto`] switches back to sparse stepping when the active

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# CI gate: tier-1 build + tests, a criterion smoke pass so the benches
-# cannot bit-rot, a quick engine-throughput run exercising the
-# `lgg-sim bench` path end-to-end, the cross-thread-count determinism
-# suite under both pool configurations, and a `lgg-sim sweep --smoke`
-# whose internal serial-vs-parallel digest check fails on any divergence.
+# CI gate: tier-1 build + tests, the perfbench benchmark's self-test so
+# the benchmark cannot bit-rot, the `lgg-sim bench` disabled-observer
+# regression gate, the cross-thread-count determinism suite under both
+# pool configurations, and a `lgg-sim sweep --smoke` whose internal
+# serial-vs-parallel digest check fails on any divergence.
 # (Bench/sweep results go to temp files and are discarded; the checked-in
-# BENCH_throughput.json is refreshed manually with full runs.)
+# BENCH_throughput.json is refreshed manually.)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,11 +19,14 @@ cargo test -q
 LGG_THREADS=1 cargo test -q --test determinism
 LGG_THREADS=4 cargo test -q --test determinism
 
-cargo bench -p lgg-bench -- --test
-# Quick bench end-to-end, gated against the checked-in baseline: the
-# observer section always runs full-length, and the run fails if the
-# disabled-observer engine drops >2% below the recorded numbers.
-cargo run --release -p lgg-cli -- bench --quick --out "$(mktemp)" \
+# The benchmark (`perfbench/`, its own workspace) builds and passes its
+# self-test: every workload reproduces its recorded digests.
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+# Observer/guard overhead legs, gated against the checked-in baseline:
+# the run fails if the disabled-observer engine drops >2% below the
+# recorded numbers.
+cargo run --release -p lgg-cli -- bench --out "$(mktemp)" \
     --baseline BENCH_throughput.json
 
 # Sweep smoke: runs the scenario x seed x rate x engine grid serially and
