@@ -24,7 +24,6 @@ use std::path::{Path, PathBuf};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use simqueue::checkpoint::fnv1a;
@@ -698,10 +697,9 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, LggError> {
             ""
         }
     );
-    let outcomes: Vec<TrialOutcome> = scenarios
-        .par_iter()
-        .map(|sc| classify(sc, cfg.steps, fault))
-        .collect();
+    let outcomes: Vec<TrialOutcome> = parpool::run_ordered(scenarios.iter().collect(), |sc| {
+        classify(sc, cfg.steps, fault)
+    });
 
     let digest = digest_outcomes(&outcomes);
     let mut report = ChaosReport {

@@ -18,58 +18,11 @@
 //! step `K` and dies via `abort()` — no destructors, no buffer flushes —
 //! the most faithful stand-in for a power cut that a process can produce.
 
-use std::fs::{self, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom};
-use std::path::PathBuf;
-
-use simqueue::{
-    CheckpointConfig, FaultSpec, GuardConfig, GuardOutcome, InvariantGuard, JsonlSink, LggError,
-};
+use simqueue::{GuardOutcome, GuardReport, LggError};
 
 use crate::chaos::{write_reproducer, Reproducer};
-use crate::{
-    DeclarationSpec, DynamicsSpec, InjectionSpec, LossSpec, ProtocolSpec, Scenario,
-    ScenarioObserver, SimOverrides,
-};
-
-/// Configuration for [`run_with_checkpoints`] (the `lgg-sim run`
-/// subcommand), parsed from its flags.
-#[derive(Debug, Default)]
-pub struct RunConfig {
-    /// Path of the scenario JSON file.
-    pub scenario_path: String,
-    /// Steps to run (default: the scenario's `steps`). Absolute: a
-    /// resumed run continues *to* this step, not *for* this many more.
-    pub steps: Option<u64>,
-    /// Snapshot period in steps (`--checkpoint-every`).
-    pub checkpoint_every: Option<u64>,
-    /// Snapshot directory (`--checkpoint-dir`); required by
-    /// `--checkpoint-every`, `--resume` and `--kill-after`.
-    pub checkpoint_dir: Option<String>,
-    /// Resume from the newest readable snapshot before running.
-    pub resume: bool,
-    /// Stream the event trace as JSON Lines to this file.
-    pub trace: Option<String>,
-    /// Thin per-step `sample` trace lines to every Nth step (0/1 = all).
-    pub sample_stride: u64,
-    /// Crash hard (`abort()`, skipping flushes) after this step.
-    pub kill_after: Option<u64>,
-    /// Run under the invariant guard (`--guard`): conservation, link
-    /// capacity, declaration legality, online divergence, and — on
-    /// core-model unsaturated networks — Lemma 1's `P_t` bound.
-    pub guard: bool,
-    /// Where a guard abort dumps its reproducer and checkpoint
-    /// (`--guard-dump`, default `results/chaos`).
-    pub guard_dump: Option<String>,
-    /// Plant a synthetic conservation fault at this step
-    /// (`--inject-fault`, test hook for the guard pipeline).
-    pub inject_fault: Option<u64>,
-    /// Guard backlog budget: abort gracefully with a partial verdict when
-    /// total stored packets exceed this (`--max-backlog`).
-    pub max_backlog: Option<u64>,
-    /// Guard wall-clock budget in milliseconds (`--max-wall-ms`).
-    pub max_wall_ms: Option<u64>,
-}
+use crate::driver::{drive, trace_file};
+use crate::{RunConfig, Scenario};
 
 /// What a completed `lgg-sim run` reports.
 #[derive(Debug)]
@@ -112,259 +65,76 @@ impl RunSummary {
 
 /// Executes `cfg`: build (or resume) the scenario simulation, run it to
 /// the target step with periodic crash-safe snapshots, and summarize.
-pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
-    let ckpt_dir: Option<PathBuf> = cfg.checkpoint_dir.as_ref().map(PathBuf::from);
-    if ckpt_dir.is_none() && (cfg.checkpoint_every.is_some() || cfg.resume || cfg.kill_after.is_some())
-    {
-        return Err(LggError::scenario(
-            "--checkpoint-every/--resume/--kill-after require --checkpoint-dir",
-        ));
-    }
-
-    if !cfg.guard
-        && (cfg.guard_dump.is_some()
-            || cfg.inject_fault.is_some()
-            || cfg.max_backlog.is_some()
-            || cfg.max_wall_ms.is_some())
-    {
-        return Err(LggError::scenario(
-            "--guard-dump/--inject-fault/--max-backlog/--max-wall-ms require --guard",
-        ));
-    }
-    if cfg.guard && (cfg.resume || cfg.kill_after.is_some()) {
-        return Err(LggError::scenario(
-            "--guard is incompatible with --resume and --kill-after",
-        ));
-    }
-
-    let text = fs::read_to_string(&cfg.scenario_path)
-        .map_err(|e| LggError::io(format!("cannot read {}", cfg.scenario_path), e))?;
-    let sc = Scenario::from_json(&text)?;
-    let target = cfg.steps.unwrap_or(sc.steps);
-    sc.check_horizon(target)?;
-    // With a dir but no period, only the final-step snapshot is written
-    // (useful to seed a later --resume without paying periodic I/O).
-    let every = cfg.checkpoint_every.unwrap_or(target.max(1));
-
-    // The trace observer opens its file without truncating: on resume the
-    // already-written prefix must survive (it is cut back to the exact
-    // checkpointed byte count below, never rewritten).
-    let observer = match &cfg.trace {
-        Some(path) => {
-            let f = OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(false)
-                .open(path)
-                .map_err(|e| LggError::io(format!("cannot open trace file {path}"), e))?;
-            let stride = cfg.sample_stride.max(1);
-            ScenarioObserver::Jsonl(JsonlSink::new(BufWriter::new(f)).with_sample_stride(stride))
-        }
-        None => sc.telemetry.build()?,
-    };
-
-    if cfg.guard {
-        return run_guarded_cmd(cfg, &sc, target, every, ckpt_dir, observer);
-    }
-
-    let mut sim = sc.build_with_observer(
-        SimOverrides {
-            checkpoint: ckpt_dir
-                .as_ref()
-                .map(|d| CheckpointConfig::new(every, d.clone())),
-            ..SimOverrides::default()
-        },
-        observer,
-    )?;
-
-    let resumed_from = match (&ckpt_dir, cfg.resume) {
-        (Some(dir), true) => sim.resume_from_dir(dir)?,
-        _ => None,
-    };
-
-    // Align the trace artifact with the restored (or fresh) state: cut it
-    // to the flushed byte count the snapshot recorded, or to zero for a
-    // fresh run. Bytes past that point are a crash's unflushed tail.
-    if cfg.trace.is_some() {
-        if let ScenarioObserver::Jsonl(sink) = sim.observer_mut() {
-            let pos = if resumed_from.is_some() {
-                sink.bytes_written()
-            } else {
-                0
-            };
-            let file = sink.writer_mut().get_mut();
-            file.set_len(pos)
-                .and_then(|()| file.seek(SeekFrom::Start(pos)).map(|_| ()))
-                .map_err(|e| LggError::io("cannot align trace file for resume", e))?;
-        }
-    }
-
-    if let Some(k) = cfg.kill_after.filter(|&k| k < target) {
-        // Periodic snapshots only — deliberately NOT the final-step
-        // snapshot run_until would add — then die without unwinding, so
-        // resume has to replay from the last periodic snapshot exactly
-        // like after a real crash.
-        let dir = ckpt_dir.as_ref().expect("checked above");
-        while sim.time() < k {
-            sim.step();
-            if sim.time() % every == 0 {
-                sim.write_checkpoint_to(dir)?;
-            }
-        }
-        std::process::abort();
-    }
-
-    sim.run_until(target)?;
-
-    let summary = RunSummary {
-        steps: sim.time(),
-        resumed_from,
-        injected: sim.metrics().injected,
-        delivered: sim.metrics().delivered,
-        lost: sim.metrics().lost,
-        final_pt: sim.network_state(),
-        sup_pt: sim.metrics().sup_pt,
-    };
-    // Flush the trace and surface any write error the run swallowed
-    // (JsonlSink keeps the first error sticky instead of panicking
-    // mid-step).
-    let mut obs = sim.into_observer();
-    if let ScenarioObserver::Jsonl(sink) = &mut obs {
-        if let Some(e) = sink.take_error() {
-            return Err(LggError::io("trace write failed", e));
-        }
-    }
-    Ok(summary)
-}
-
-/// Lemma 1's `P_t ≤ nY² + 5nΔ²` bound holds for the *core* model only —
-/// pure LGG, exact injection, no loss, static topology, truthful
-/// declarations — and only on unsaturated networks. Returns the bound
-/// when every precondition holds, so the guard can enforce it as a hard
-/// invariant; anything else gets `None` (no `P_t` check).
-fn lemma1_bound(sc: &Scenario, spec: &netmodel::TrafficSpec) -> Option<f64> {
-    let core = matches!(sc.protocol, ProtocolSpec::Lgg)
-        && matches!(sc.injection, InjectionSpec::Exact)
-        && matches!(sc.loss, LossSpec::None)
-        && matches!(sc.dynamics, DynamicsSpec::Static)
-        && matches!(sc.declaration, DeclarationSpec::Truthful);
-    if !core {
-        return None;
-    }
-    lgg_core::bounds::unsaturated_bounds(spec).map(|b| b.state_bound)
-}
-
-/// The `--guard` variant of the run command: same build path, but the
-/// scenario observer is wrapped in an [`InvariantGuard`] and the run goes
-/// through `run_guarded`. A violation dumps a reproducer (replayable via
+/// Under `--guard` a violation dumps a reproducer (replayable via
 /// `lgg-sim chaos --replay`) plus a checkpoint into the dump dir and
 /// surfaces as [`LggError::InvariantViolation`] — exit code 9.
-fn run_guarded_cmd(
-    cfg: &RunConfig,
-    sc: &Scenario,
-    target: u64,
-    every: u64,
-    ckpt_dir: Option<PathBuf>,
-    observer: ScenarioObserver,
-) -> Result<RunSummary, LggError> {
-    let spec = sc.traffic_spec()?;
-    let mut gc = GuardConfig::checks();
-    gc.divergence = true;
-    gc.max_backlog = cfg.max_backlog;
-    gc.max_wall_ms = cfg.max_wall_ms;
-    gc.pt_bound = lemma1_bound(sc, &spec);
-    if let Some(b) = gc.pt_bound {
-        eprintln!("guard: core model on an unsaturated network — enforcing P_t <= {b:.0} (Lemma 1)");
-    }
-    let guard = InvariantGuard::with_inner(&spec, gc, observer);
-    let mut sim = sc.build_with_observer(
-        SimOverrides {
-            checkpoint: ckpt_dir
-                .as_ref()
-                .map(|d| CheckpointConfig::new(every, d.clone())),
-            ..SimOverrides::default()
-        },
-        guard,
-    )?;
-
-    // Fresh-run trace alignment (no resume under --guard): drop any stale
-    // bytes a previous run left in the (create + no-truncate) trace file.
-    if cfg.trace.is_some() {
-        if let ScenarioObserver::Jsonl(sink) = sim.observer_mut().inner_mut() {
-            let file = sink.writer_mut().get_mut();
-            file.set_len(0)
-                .and_then(|()| file.seek(SeekFrom::Start(0)).map(|_| ()))
-                .map_err(|e| LggError::io("cannot align trace file", e))?;
-        }
-    }
-
-    let dump = PathBuf::from(
-        cfg.guard_dump
-            .clone()
-            .unwrap_or_else(|| "results/chaos".into()),
-    );
-    let fault = cfg.inject_fault.map(|step| FaultSpec {
-        step,
-        node: 0,
-        amount: 1,
-    });
-    let report = sim.run_guarded(target, Some(&dump), fault)?;
-
-    let summary = RunSummary {
-        steps: sim.time(),
-        resumed_from: None,
-        injected: sim.metrics().injected,
-        delivered: sim.metrics().delivered,
-        lost: sim.metrics().lost,
-        final_pt: sim.network_state(),
-        sup_pt: sim.metrics().sup_pt,
+pub fn run_with_checkpoints(cfg: &RunConfig) -> Result<RunSummary, LggError> {
+    cfg.validate()?;
+    let sc = Scenario::from_file(&cfg.scenario_path)?;
+    let done = match &cfg.trace {
+        Some(path) => drive(&sc, cfg, || trace_file(path, cfg.sample_stride))?.0,
+        None => drive(&sc, cfg, || sc.telemetry.build())?.0,
     };
-    let mut obs = sim.into_observer().into_inner();
-    if let ScenarioObserver::Jsonl(sink) = &mut obs {
-        if let Some(e) = sink.take_error() {
-            return Err(LggError::io("trace write failed", e));
-        }
+    if let Some(report) = &done.guard {
+        report_guard(&sc, cfg, report)?;
     }
+    let m = &done.metrics;
+    Ok(RunSummary {
+        steps: done.steps,
+        resumed_from: done.resumed_from,
+        injected: m.injected,
+        delivered: m.delivered,
+        lost: m.lost,
+        final_pt: done.final_pt,
+        sup_pt: m.sup_pt,
+    })
+}
 
-    match report.outcome {
+/// Prints how a guarded run ended; a violation also writes its
+/// reproducer and becomes the error.
+fn report_guard(sc: &Scenario, cfg: &RunConfig, report: &GuardReport) -> Result<(), LggError> {
+    let dumped = || {
+        if let Some(p) = &report.checkpoint {
+            eprintln!("guard: state checkpoint dumped to {}", p.display());
+        }
+    };
+    match &report.outcome {
         GuardOutcome::Completed => {
             eprintln!(
                 "guard: clean after {} steps — online stability {:?}, sup total {}",
                 report.steps, report.stability.verdict, report.stability.sup_total
             );
-            Ok(summary)
+            Ok(())
         }
         GuardOutcome::BudgetExceeded(kind) => {
             eprintln!(
                 "guard: {kind} budget exceeded at step {} — partial verdict {:?}, sup total {}",
                 report.steps, report.stability.verdict, report.stability.sup_total
             );
-            if let Some(p) = &report.checkpoint {
-                eprintln!("guard: state checkpoint dumped to {}", p.display());
-            }
-            Ok(summary)
+            dumped();
+            Ok(())
         }
         GuardOutcome::Violated(v) => {
             let repro = Reproducer {
                 scenario: sc.clone(),
                 seed: sc.seed,
-                steps: (v.step + 1).min(target),
-                fault,
+                steps: (v.step + 1).min(cfg.target(sc)),
+                fault: cfg.fault(),
                 violation: v.clone(),
             };
-            let path = write_reproducer(&dump, 0, &repro)?;
-            eprintln!("guard: INVARIANT VIOLATION at step {}: {}: {}", v.step, v.kind, v.detail);
+            let path = write_reproducer(&cfg.guard_dump(), 0, &repro)?;
+            eprintln!(
+                "guard: INVARIANT VIOLATION at step {}: {}: {}",
+                v.step, v.kind, v.detail
+            );
             eprintln!(
                 "guard: seed {}  reproducer {}  (replay: lgg-sim chaos --replay {})",
                 sc.seed,
                 path.display(),
                 path.display()
             );
-            if let Some(p) = &report.checkpoint {
-                eprintln!("guard: state checkpoint dumped to {}", p.display());
-            }
-            Err(v.into())
+            dumped();
+            Err(v.clone().into())
         }
     }
 }
@@ -372,6 +142,7 @@ fn run_guarded_cmd(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
 
     fn write_scenario(dir: &std::path::Path) -> String {
         let path = dir.join("sc.json");

@@ -12,7 +12,16 @@
 //! lgg-sim scenario.json            # run, print a human report
 //! lgg-sim scenario.json --json     # machine-readable report on stdout
 //! lgg-sim --template > my.json     # start from a commented template
+//! lgg-sim run scenario.json --checkpoint-every N --checkpoint-dir D [--guard]
+//! lgg-sim trace scenario.json --out run.jsonl
 //! ```
+//!
+//! The report ([`run_scenario`]), the checkpointed and guarded run
+//! ([`run_with_checkpoints`]) and the trace capture ([`capture_trace`])
+//! share one run driver: it checks the horizon, installs the observer,
+//! builds, resumes and aligns the trace, runs to the target and surfaces
+//! a sink write error. They differ only in the observer they install and
+//! in what they return.
 //!
 //! Example scenario:
 //!
@@ -32,6 +41,7 @@
 mod bench;
 mod chaos;
 mod checkpoint_cmd;
+mod driver;
 mod report;
 mod scenario;
 mod sweep;
@@ -45,7 +55,8 @@ pub use chaos::{
     compose_trial, replay_reproducer, run_chaos, shrink, write_reproducer, ChaosConfig,
     ChaosReport, Reproducer,
 };
-pub use checkpoint_cmd::{run_with_checkpoints, RunConfig, RunSummary};
+pub use checkpoint_cmd::{run_with_checkpoints, RunSummary};
+pub use driver::RunConfig;
 pub use report::{run_scenario, RunReport};
 pub use sweep::{
     run_sweep, sweep_digest, write_sweep_into_bench, SweepConfig, SweepItem, SweepReport,

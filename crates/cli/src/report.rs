@@ -4,7 +4,8 @@ use netmodel::{classify, NetworkClass};
 use serde::{Deserialize, Serialize};
 use simqueue::{assess_stability, LatencyStats, Metrics, StabilityReport, WindowStats};
 
-use crate::{Scenario, LggError, SimOverrides};
+use crate::driver::drive;
+use crate::{LggError, RunConfig, Scenario};
 
 /// The full machine-readable result of one scenario run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,23 +88,18 @@ impl RunReport {
 pub fn run_scenario(scenario: &Scenario) -> Result<RunReport, LggError> {
     let spec = scenario.traffic_spec()?;
     let classification = classify(&spec);
-    let mut sim = scenario.build(SimOverrides::default())?;
-    sim.run(scenario.steps);
-    let metrics = sim.metrics().clone();
-    let stability = assess_stability(&metrics.history);
-    let latency = sim.latency_stats().cloned();
-    // into_observer() runs the observer's finish() — closing the JSONL
-    // file / the trailing partial window.
-    let telemetry = sim.into_observer().into_windows();
+    let (done, observer) = drive(scenario, &RunConfig::default(), || {
+        scenario.telemetry.build()
+    })?;
     Ok(RunReport {
         nodes: spec.node_count(),
         edges: spec.graph.edge_count(),
         max_degree: spec.max_degree(),
         classification,
-        latency,
-        metrics,
-        stability,
-        telemetry,
+        stability: assess_stability(&done.metrics.history),
+        latency: done.latency,
+        metrics: done.metrics,
+        telemetry: observer.into_windows(),
     })
 }
 

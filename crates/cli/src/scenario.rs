@@ -447,9 +447,8 @@ impl ObserverSpec {
                 ScenarioObserver::Window(WindowAggregator::new(*size))
             }
             ObserverSpec::Jsonl { path } => {
-                let f = File::create(path).map_err(|e| {
-                    LggError::scenario(format!("cannot create telemetry file {path}: {e}"))
-                })?;
+                let f = File::create(path)
+                    .map_err(|e| LggError::io(format!("cannot create telemetry file {path}"), e))?;
                 ScenarioObserver::Jsonl(JsonlSink::new(BufWriter::new(f)))
             }
         })
@@ -600,6 +599,14 @@ impl Scenario {
         let sc: Scenario = serde_json::from_str(json)?;
         sc.check_horizon(sc.steps)?;
         Ok(sc)
+    }
+
+    /// Reads and parses the scenario file at `path`; an unreadable file is
+    /// [`LggError::Io`].
+    pub fn from_file(path: &str) -> Result<Self, LggError> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| LggError::io(format!("cannot read {path}"), e))?;
+        Self::from_json(&text)
     }
 
     /// Rejects a horizon of `steps` over which the nominal arrivals,

@@ -17,7 +17,6 @@
 
 use std::time::Instant;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::bench::{synthetic_cases, BenchReport};
@@ -86,9 +85,6 @@ pub struct SweepConfig {
     pub smoke: bool,
     /// Directory holding the `scenarios/` corpus.
     pub scenario_dir: String,
-    /// Explicit parallel-leg thread count (default: `parpool` resolution,
-    /// i.e. `LGG_THREADS` or the machine's cores).
-    pub threads: Option<usize>,
 }
 
 impl Default for SweepConfig {
@@ -96,7 +92,6 @@ impl Default for SweepConfig {
         SweepConfig {
             smoke: false,
             scenario_dir: "scenarios".into(),
-            threads: None,
         }
     }
 }
@@ -108,14 +103,8 @@ fn build_grid(cfg: &SweepConfig) -> Result<Vec<(SweepItem, Scenario)>, LggError>
     // dense), plus one file-backed scenario exercising the declaration
     // and loss machinery.
     let mut scenarios = synthetic_cases();
-    let dumbbell_path = format!("{}/saturated_dumbbell.json", cfg.scenario_dir);
-    let text = std::fs::read_to_string(&dumbbell_path).map_err(|e| {
-        LggError::scenario(format!(
-            "cannot read {dumbbell_path}: {e} (run `lgg-sim sweep` from the \
-             repo root or pass --scenarios DIR)"
-        ))
-    })?;
-    scenarios.push(("saturated-dumbbell".into(), Scenario::from_json(&text)?));
+    let dumbbell = Scenario::from_file(&format!("{}/saturated_dumbbell.json", cfg.scenario_dir))?;
+    scenarios.push(("saturated-dumbbell".into(), dumbbell));
 
     let steps_for = |name: &str| -> u64 {
         let full = match name {
@@ -186,11 +175,9 @@ fn run_item(item: &SweepItem, sc: &Scenario) -> Result<SweepOutcome, LggError> {
 /// Runs the whole grid once across the current pool configuration,
 /// returning outcomes in input order.
 fn run_grid(grid: &[(SweepItem, Scenario)]) -> Result<Vec<SweepOutcome>, LggError> {
-    let results: Vec<Result<SweepOutcome, LggError>> = grid
-        .par_iter()
-        .map(|(item, sc)| run_item(item, sc))
-        .collect();
-    results.into_iter().collect()
+    parpool::run_ordered(grid.iter().collect(), |(item, sc)| run_item(item, sc))
+        .into_iter()
+        .collect()
 }
 
 /// Condenses an outcome vector into a printable FNV-1a digest.
@@ -228,21 +215,14 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, LggError> {
     let t = Instant::now();
     let serial = run_grid(&grid);
     let serial_secs = t.elapsed().as_secs_f64();
-    parpool::set_thread_override(cfg.threads);
-    let serial = match serial {
-        Ok(v) => v,
-        Err(e) => {
-            parpool::set_thread_override(None);
-            return Err(e);
-        }
-    };
+    parpool::set_thread_override(None);
+    let serial = serial?;
 
     let threads = parpool::max_threads();
     eprintln!("sweep: parallel leg ({threads} threads)...");
     let t = Instant::now();
     let parallel = run_grid(&grid);
     let parallel_secs = t.elapsed().as_secs_f64();
-    parpool::set_thread_override(None);
     let parallel = parallel?;
 
     if serial != parallel {
@@ -295,7 +275,7 @@ pub fn write_sweep_into_bench(path: &str, report: SweepReport) -> Result<(), Lgg
     let json = serde_json::to_string_pretty(&bench)
         .map_err(|e| LggError::scenario(format!("serialize: {e}")))?;
     std::fs::write(path, format!("{json}\n"))
-        .map_err(|e| LggError::scenario(format!("cannot write {path}: {e}")))?;
+        .map_err(|e| LggError::io(format!("cannot write {path}"), e))?;
     Ok(())
 }
 
@@ -311,7 +291,6 @@ mod tests {
         SweepConfig {
             smoke: true,
             scenario_dir: scenario_dir(),
-            threads: None,
         }
     }
 

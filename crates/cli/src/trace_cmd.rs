@@ -9,7 +9,8 @@
 
 use simqueue::JsonlSink;
 
-use crate::{Scenario, LggError, SimOverrides};
+use crate::driver::drive;
+use crate::{LggError, RunConfig, Scenario};
 
 /// FNV-1a digest of a byte stream, printed as 16 hex digits — the same
 /// witness format `lgg-sim sweep` uses for outcome digests.
@@ -18,31 +19,24 @@ pub fn fnv1a_digest(bytes: &[u8]) -> String {
 }
 
 /// Runs `steps` of `sc` with a [`JsonlSink`] attached and returns the
-/// raw JSONL bytes. `sample_stride` thins the per-step `sample` lines
-/// (1 keeps all); other event kinds are never thinned. The scenario's
-/// own `telemetry` section is not consulted — the sink *is* the
-/// observer for this run. Fails when `steps` overflows the scenario's
-/// arrivals ([`Scenario::check_horizon`]).
+/// raw JSONL bytes — the bytes `lgg-sim run --trace` writes for the same
+/// steps. `sample_stride` thins the per-step `sample` lines (1 keeps
+/// all); other event kinds are never thinned. The scenario's own
+/// `telemetry` section is not consulted — the sink *is* the observer for
+/// this run. Fails when `steps` overflows the scenario's arrivals
+/// ([`Scenario::check_horizon`]).
 pub fn capture_trace(
     sc: &Scenario,
     steps: u64,
     sample_stride: u64,
 ) -> Result<Vec<u8>, LggError> {
-    sc.check_horizon(steps)?;
-    let sink = JsonlSink::new(Vec::new()).with_sample_stride(sample_stride);
-    let mut sim = sc.build_with_observer(
-        SimOverrides {
-            history: Some(simqueue::HistoryMode::None),
-            ..SimOverrides::default()
-        },
-        sink,
-    )?;
-    sim.run(steps);
-    // into_observer() runs finish() (a flush; infallible on Vec<u8>).
-    let mut sink = sim.into_observer();
-    if let Some(e) = sink.take_error() {
-        return Err(LggError::scenario(format!("trace write failed: {e}")));
-    }
+    let cfg = RunConfig {
+        steps: Some(steps),
+        ..RunConfig::default()
+    };
+    let (_, sink) = drive(sc, &cfg, || {
+        Ok(JsonlSink::new(Vec::new()).with_sample_stride(sample_stride))
+    })?;
     Ok(sink.into_inner())
 }
 

@@ -2,7 +2,6 @@
 //! `P_t <= nY² + 5nΔ²`.
 
 use lgg_core::bounds::unsaturated_bounds;
-use rayon::prelude::*;
 
 use crate::common::{fnum, run_lgg, steps_for, unsaturated_catalog};
 use crate::{ExperimentReport, Table};
@@ -12,14 +11,11 @@ pub fn run(quick: bool) -> ExperimentReport {
     let steps = steps_for(quick, 50_000);
     let catalog = unsaturated_catalog(0xE1);
 
-    let results: Vec<_> = catalog
-        .par_iter()
-        .map(|(name, spec)| {
-            let b = unsaturated_bounds(spec).expect("catalog is unsaturated");
-            let outcome = run_lgg(spec, steps, 0xE1);
-            (name.clone(), spec.clone(), b, outcome)
-        })
-        .collect();
+    let results: Vec<_> = parpool::run_ordered(catalog.iter().collect(), |(name, spec)| {
+        let b = unsaturated_bounds(spec).expect("catalog is unsaturated");
+        let outcome = run_lgg(spec, steps, 0xE1);
+        (name.clone(), spec.clone(), b, outcome)
+    });
 
     let mut table = Table::new(
         format!("LGG on unsaturated networks ({steps} steps, exact injection, no loss)"),

@@ -13,7 +13,6 @@ use lgg_core::bounds::unsaturated_bounds;
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::TrafficSpecBuilder;
-use rayon::prelude::*;
 use simqueue::{HistoryMode, SimulationBuilder};
 
 use crate::common::{fnum, steps_for, unsaturated_catalog};
@@ -64,34 +63,31 @@ pub fn run(quick: bool) -> ExperimentReport {
     // Part (b): directional check across the catalog.
     let steps = steps_for(quick, 5_000);
     let catalog = unsaturated_catalog(0xE3);
-    let rows: Vec<_> = catalog
-        .par_iter()
-        .map(|(name, spec)| {
-            // Warm start well above anything the stationary regime reaches.
-            let stationary = crate::common::run_lgg(spec, steps, 0xE3);
-            let target = (stationary.sup_pt as f64) * 100.0 + 1e6;
-            let warm = warm_start_above(spec, target);
-            let mut sim = SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
-                .initial_queues(warm)
-                .history(HistoryMode::None)
-                .seed(0xE3)
-                .build();
-            let samples = measure_drift(&mut sim, steps.min(2000));
-            let (cnt, _) = conditional_drift_above(&samples, target);
-            let mean_high: f64 = {
-                let hi: Vec<_> = samples
-                    .iter()
-                    .filter(|s| (s.pt as f64) > target)
-                    .collect();
-                if hi.is_empty() {
-                    0.0
-                } else {
-                    hi.iter().map(|s| s.delta as f64).sum::<f64>() / hi.len() as f64
-                }
-            };
-            (name.clone(), target, cnt, mean_high)
-        })
-        .collect();
+    let rows: Vec<_> = parpool::run_ordered(catalog.iter().collect(), |(name, spec)| {
+        // Warm start well above anything the stationary regime reaches.
+        let stationary = crate::common::run_lgg(spec, steps, 0xE3);
+        let target = (stationary.sup_pt as f64) * 100.0 + 1e6;
+        let warm = warm_start_above(spec, target);
+        let mut sim = SimulationBuilder::new(spec.clone(), Box::new(Lgg::new()))
+            .initial_queues(warm)
+            .history(HistoryMode::None)
+            .seed(0xE3)
+            .build();
+        let samples = measure_drift(&mut sim, steps.min(2000));
+        let (cnt, _) = conditional_drift_above(&samples, target);
+        let mean_high: f64 = {
+            let hi: Vec<_> = samples
+                .iter()
+                .filter(|s| (s.pt as f64) > target)
+                .collect();
+            if hi.is_empty() {
+                0.0
+            } else {
+                hi.iter().map(|s| s.delta as f64).sum::<f64>() / hi.len() as f64
+            }
+        };
+        (name.clone(), target, cnt, mean_high)
+    });
 
     let mut directional = Table::new(
         "directional check: drift while P_t is far above stationary",

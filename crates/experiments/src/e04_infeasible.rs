@@ -7,7 +7,6 @@ use lgg_core::bounds::divergence_rate;
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::RoutingProtocol;
 
 use crate::common::{fnum, run_protocol, steps_for};
@@ -77,13 +76,10 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut slopes_match = true;
     for (name, spec) in &catalog {
         let excess = divergence_rate(spec).expect("catalog is infeasible");
-        let rows: Vec<_> = protos
-            .par_iter()
-            .map(|(pname, factory)| {
-                let o = run_protocol(spec, factory(spec), steps, 0xE4);
-                (*pname, o)
-            })
-            .collect();
+        let rows: Vec<_> = parpool::run_ordered(protos.iter().collect(), |(pname, factory)| {
+            let o = run_protocol(spec, factory(spec), steps, 0xE4);
+            (*pname, o)
+        });
         for (pname, o) in rows {
             let ratio = o.slope / excess as f64;
             table.push_row(vec![

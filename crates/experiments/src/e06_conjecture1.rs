@@ -8,7 +8,6 @@
 //! run's (the intuition "removing packets should not lead to divergence").
 
 use lgg_core::Lgg;
-use rayon::prelude::*;
 use simqueue::injection::{BernoulliInjection, ScaledInjection};
 use simqueue::loss::{AdversarialLoss, IidLoss};
 
@@ -57,15 +56,12 @@ pub fn run(quick: bool) -> ExperimentReport {
             base.sup_total.to_string(),
             "1".into(),
         ]);
-        let rows: Vec<_> = regimes
-            .par_iter()
-            .map(|(label, inj, loss)| {
-                let o = run_customized(spec, Box::new(Lgg::new()), steps, 0xE6, |b| {
-                    b.injection(inj()).loss(loss())
-                });
-                (*label, o)
-            })
-            .collect();
+        let rows: Vec<_> = parpool::run_ordered(regimes.iter().collect(), |(label, inj, loss)| {
+            let o = run_customized(spec, Box::new(Lgg::new()), steps, 0xE6, |b| {
+                b.injection(inj()).loss(loss())
+            });
+            (*label, o)
+        });
         for (label, o) in rows {
             let ratio = o.sup_total as f64 / base.sup_total.max(1) as f64;
             table.push_row(vec![

@@ -6,7 +6,6 @@ use lgg_core::bounds::burst_deficit;
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::TrafficSpecBuilder;
-use rayon::prelude::*;
 use simqueue::injection::BurstInjection;
 
 use crate::common::{fnum, run_customized, steps_for};
@@ -38,20 +37,17 @@ pub fn run(quick: bool) -> ExperimentReport {
         (20, 20), // avg 1.0, long windows
     ];
 
-    let rows: Vec<_> = cases
-        .par_iter()
-        .map(|&(burst, quiet)| {
-            let avg = 2.0 * burst as f64 / (burst + quiet) as f64;
-            let o = run_customized(&spec, Box::new(Lgg::new()), steps, 0xE7, |b| {
-                b.injection(Box::new(BurstInjection {
-                    burst,
-                    quiet,
-                    burst_amount: 1, // in(s)=2 already encodes the peak
-                }))
-            });
-            (burst, quiet, avg, o)
-        })
-        .collect();
+    let rows: Vec<_> = parpool::run_ordered(cases.iter().collect(), |&(burst, quiet)| {
+        let avg = 2.0 * burst as f64 / (burst + quiet) as f64;
+        let o = run_customized(&spec, Box::new(Lgg::new()), steps, 0xE7, |b| {
+            b.injection(Box::new(BurstInjection {
+                burst,
+                quiet,
+                burst_amount: 1, // in(s)=2 already encodes the peak
+            }))
+        });
+        (burst, quiet, avg, o)
+    });
 
     let mut table = Table::new(
         format!("bursty arrivals on a unit path, f* = {f_star} ({steps} steps)"),

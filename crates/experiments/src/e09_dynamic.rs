@@ -10,7 +10,6 @@ use lgg_core::Lgg;
 use maxflow::Algorithm;
 use mgraph::generators;
 use netmodel::{ExtendedNetwork, TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::dynamic::{MarkovTopology, PeriodicOutage, RotatingOutage};
 
 use crate::common::{run_customized, steps_for};
@@ -87,18 +86,16 @@ pub fn run(quick: bool) -> ExperimentReport {
     );
     let mut pass = true;
     for (name, factory, preserved) in &cases {
-        let outcomes: Vec<_> = [("lgg", true), ("maxflow-routing", false)]
-            .par_iter()
-            .map(|(pname, is_lgg)| {
-                let proto: Box<dyn simqueue::RoutingProtocol> = if *is_lgg {
-                    Box::new(Lgg::new())
-                } else {
-                    Box::new(MaxFlowRouting::new(&spec))
-                };
-                let o = run_customized(&spec, proto, steps, 0xE9, |b| b.topology(factory()));
-                (*pname, o)
-            })
-            .collect();
+        let protos = [("lgg", true), ("maxflow-routing", false)];
+        let outcomes: Vec<_> = parpool::run_ordered(protos.iter().collect(), |(pname, is_lgg)| {
+            let proto: Box<dyn simqueue::RoutingProtocol> = if *is_lgg {
+                Box::new(Lgg::new())
+            } else {
+                Box::new(MaxFlowRouting::new(&spec))
+            };
+            let o = run_customized(&spec, proto, steps, 0xE9, |b| b.topology(factory()));
+            (*pname, o)
+        });
         for (pname, o) in outcomes {
             table.push_row(vec![
                 (*name).into(),

@@ -9,7 +9,6 @@
 use lgg_core::baselines::{Flood, HeightRouting, MaxFlowRouting, RandomForward, ShortestPathRouting};
 use lgg_core::Lgg;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::RoutingProtocol;
 
 use crate::common::{fnum, run_protocol, steps_for, unsaturated_catalog};
@@ -73,10 +72,9 @@ pub fn run(quick: bool) -> ExperimentReport {
     let mut latency_pairs = 0usize;
 
     for (name, spec) in &specs {
-        let outcomes: Vec<_> = proto_names
-            .par_iter()
-            .map(|p| (*p, run_protocol(spec, make(p, spec), steps, 0xE11)))
-            .collect();
+        let outcomes: Vec<_> = parpool::run_ordered(proto_names.iter().collect(), |p| {
+            (*p, run_protocol(spec, make(p, spec), steps, 0xE11))
+        });
         let lgg_o = outcomes.iter().find(|(p, _)| *p == "lgg").unwrap().1.clone();
         let mf_o = outcomes
             .iter()

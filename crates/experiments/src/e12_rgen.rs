@@ -7,7 +7,6 @@ use lgg_core::bounds::generalized_bounds;
 use lgg_core::Lgg;
 use mgraph::generators;
 use netmodel::{TrafficSpec, TrafficSpecBuilder};
-use rayon::prelude::*;
 use simqueue::declare::{FullRetention, RandomBelowRetention, TruthfulDeclaration, ZeroBelowRetention};
 use simqueue::{DeclarationPolicy, LazyExtraction, MaxExtraction};
 
@@ -51,25 +50,23 @@ pub fn run(quick: bool) -> ExperimentReport {
     for &r in &retentions {
         let spec = rgen_spec(r);
         let gb = generalized_bounds(&spec);
-        let runs: Vec<_> = declarations
-            .par_iter()
-            .flat_map(|(dname, dfac)| {
-                [("max", true), ("lazy", false)]
-                    .par_iter()
-                    .map(|(ename, is_max)| {
-                        let o = run_customized(&spec, Box::new(Lgg::new()), steps, 0xE12, |b| {
-                            let b = b.declaration(dfac());
-                            if *is_max {
-                                b.extraction(Box::new(MaxExtraction))
-                            } else {
-                                b.extraction(Box::new(LazyExtraction))
-                            }
-                        });
-                        (dname.to_string(), ename.to_string(), o)
-                    })
-                    .collect::<Vec<_>>()
+        let extractions = [("max", true), ("lazy", false)];
+        let runs: Vec<_> = parpool::run_ordered(declarations.iter().collect(), |(dname, dfac)| {
+            parpool::run_ordered(extractions.iter().collect(), |(ename, is_max)| {
+                let o = run_customized(&spec, Box::new(Lgg::new()), steps, 0xE12, |b| {
+                    let b = b.declaration(dfac());
+                    if *is_max {
+                        b.extraction(Box::new(MaxExtraction))
+                    } else {
+                        b.extraction(Box::new(LazyExtraction))
+                    }
+                });
+                (dname.to_string(), ename.to_string(), o)
             })
-            .collect();
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         let mut worst = 0u64;
         for (dname, ename, o) in runs {
             table.push_row(vec![

@@ -14,7 +14,6 @@ use std::process::ExitCode;
 
 use experiments::reporter::OrderedReporter;
 use experiments::{run_experiment, ExperimentReport, ALL_IDS};
-use rayon::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,15 +65,12 @@ fn main() -> ExitCode {
     // finishes first; the collected vector is ordered by construction.
     let reporter = OrderedReporter::new(std::io::stdout());
     let indexed: Vec<(usize, String)> = ids.iter().cloned().enumerate().collect();
-    let reports: Vec<(ExperimentReport, String)> = indexed
-        .par_iter()
-        .map(|(i, id)| {
-            let report = run_experiment(id, quick).expect("id validated above");
-            let md = report.markdown();
-            reporter.complete(*i, format!("{md}\n"));
-            (report, md)
-        })
-        .collect();
+    let reports: Vec<(ExperimentReport, String)> = parpool::run_ordered(indexed, |(i, id)| {
+        let report = run_experiment(&id, quick).expect("id validated above");
+        let md = report.markdown();
+        reporter.complete(i, format!("{md}\n"));
+        (report, md)
+    });
     reporter.into_inner();
 
     let mut all_pass = true;

@@ -103,10 +103,8 @@ mod tests {
 
     #[test]
     fn parallel_submission_is_ordered() {
-        use rayon::prelude::*;
         let r = OrderedReporter::new(Vec::new());
-        let idx: Vec<usize> = (0..50).collect();
-        idx.par_iter().for_each(|&i| {
+        parpool::run_ordered((0..50).collect(), |i| {
             r.complete(i, format!("{i};"));
         });
         let got = String::from_utf8(r.into_inner()).unwrap();

@@ -212,6 +212,36 @@ mod tests {
         assert_eq!(out, (0..1000u64).map(|x| x * x).collect::<Vec<_>>());
     }
 
+    /// Borrowed items (`xs.iter().collect()`), the shape of every
+    /// workspace call site, map exactly like a sequential iterator.
+    #[test]
+    fn par_iter_matches_iter() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        let names: Vec<String> = (0..40).map(|i| format!("item{i}")).collect();
+        let out = run_ordered(names.iter().collect(), |s| s.len());
+        set_thread_override(None);
+        assert_eq!(out, names.iter().map(|s| s.len()).collect::<Vec<_>>());
+    }
+
+    /// Per-item result vectors flattened afterwards keep input order —
+    /// how a sweep over two parameters is written.
+    #[test]
+    fn flat_map_flattens_in_order() {
+        let _g = OVERRIDE_LOCK.lock().unwrap();
+        set_thread_override(Some(4));
+        let inner = [0u64, 1];
+        let out: Vec<u64> = run_ordered((1..=20u64).collect(), |x| {
+            run_ordered(inner.iter().collect(), |&i| x * 10 + i)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        set_thread_override(None);
+        let want: Vec<u64> = (1..=20u64).flat_map(|x| [x * 10, x * 10 + 1]).collect();
+        assert_eq!(out, want);
+    }
+
     #[test]
     fn identical_across_thread_counts() {
         let _g = OVERRIDE_LOCK.lock().unwrap();

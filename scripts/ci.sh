@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # CI gate: tier-1 build + tests, the perfbench benchmark's self-test so
-# the benchmark cannot bit-rot, the `lgg-sim bench` disabled-observer
-# regression gate, the cross-thread-count determinism suite under both
-# pool configurations, and a `lgg-sim sweep --smoke` whose internal
-# serial-vs-parallel digest check fails on any divergence.
+# the benchmark cannot bit-rot, the cross-thread-count determinism suite
+# under both pool configurations, a `lgg-sim sweep --smoke` whose
+# internal serial-vs-parallel digest check fails on any divergence, the
+# trace/chaos/guard/resume smoke legs, and last the `lgg-sim bench`
+# disabled-observer regression gate.
 # (Bench/sweep results go to temp files and are discarded; the checked-in
 # BENCH_throughput.json is refreshed manually.)
 set -euo pipefail
@@ -22,12 +23,6 @@ LGG_THREADS=4 cargo test -q --test determinism
 # The benchmark (`perfbench/`, its own workspace) builds and passes its
 # self-test: every workload reproduces its recorded digests.
 cargo test --release --manifest-path perfbench/Cargo.toml
-
-# Observer/guard overhead legs, gated against the checked-in baseline:
-# the run fails if the disabled-observer engine drops >2% below the
-# recorded numbers.
-cargo run --release -p lgg-cli -- bench --out "$(mktemp)" \
-    --baseline BENCH_throughput.json
 
 # Sweep smoke: runs the scenario x seed x rate x engine grid serially and
 # in parallel and exits nonzero if the two result digests differ.
@@ -113,5 +108,13 @@ for threads in 1 4; do
     rm -rf "$WORK"
 done
 rm -rf "$(dirname "$SMOKE_SCENARIO")"
+
+# Observer/guard overhead legs, gated against the checked-in baseline:
+# the run fails if the disabled-observer engine drops >2% below the
+# recorded numbers. Last, because the baseline was recorded on a faster
+# host: a slower host fails this gate, and under `set -e` it must not
+# keep the legs above from running.
+cargo run --release -p lgg-cli -- bench --out "$(mktemp)" \
+    --baseline BENCH_throughput.json
 
 echo "ci: OK"

@@ -62,7 +62,6 @@ fn sweep_grid_digest_is_thread_count_independent() {
     let cfg = SweepConfig {
         smoke: true,
         scenario_dir: concat!(env!("CARGO_MANIFEST_DIR"), "/../scenarios").into(),
-        threads: None,
     };
     let narrow = with_threads(1, || sweep_digest(&cfg).expect("sweep runs"));
     let wide = with_threads(WIDE, || sweep_digest(&cfg).expect("sweep runs"));
